@@ -59,6 +59,7 @@ from .cpu import replicas as replicabatch
 from .core import microbench, reporting, study
 from .core.probe import DEFAULT_TRIALS, speculation_matrix
 from .core.study import Settings
+from .errors import SpectreSimError
 from .mitigations import linux_default
 from .mitigations.meltdown import attempt_meltdown
 from .mitigations.mds import attempt_mds_sample, kernel_touched_secret
@@ -447,8 +448,6 @@ def cmd_profile(args: argparse.Namespace) -> str:
     # longitudinal record.
     engine_stats = blockengine.STATS.as_dict()
     engine_stats["hit_rate"] = blockengine.STATS.hit_rate()
-    replica_stats = replicabatch.STATS.as_dict()
-    replica_stats["hit_rate"] = replicabatch.STATS.hit_rate()
     ledgers = {}
     if ledger is not None:
         ledgers["+".join(cpu.key for cpu in cpus)] = {
@@ -459,8 +458,9 @@ def cmd_profile(args: argparse.Namespace) -> str:
         "telemetry": {
             "wall_s": wall,
             "engine": engine_stats,
-            "replicas": replica_stats,
-            "replicas_per_s": (replica_stats["replicas"] / wall
+            "replicas": {**replicabatch.STATS.as_dict(),
+                         "hit_rate": replicabatch.STATS.hit_rate()},
+            "replicas_per_s": (replicabatch.STATS.replicas / wall
                                if wall > 0 else 0.0),
             "coverage": tracer.coverage(),
         },
@@ -958,8 +958,8 @@ def build_parser() -> argparse.ArgumentParser:
     def _add_replicas_flag(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--replicas", type=int, default=None, metavar="N",
-            help="seeded machine replicas per cell, executed through the "
-                 "batched SoA replica tier (default 1: the classic "
+            help="seeded machine replicas per cell, one simulation per "
+                 "distinct eIBRS scrub schedule (default 1: the classic "
                  "single-run measurement, bit for bit)")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -1227,29 +1227,41 @@ _COMMANDS = {
 }
 
 
+def _run(args: argparse.Namespace) -> str:
+    trace_path = getattr(args, "trace", None)
+    if not trace_path or args.command == "profile":
+        return _COMMANDS[args.command](args)
+    tracer = obs.SpanTracer()
+    started = time.perf_counter()
+    with obs.use_tracer(tracer):
+        output = _COMMANDS[args.command](args)
+    manifest = obs.build_manifest(
+        command=args.command,
+        settings=_settings(args)
+        if hasattr(args, "fast") else None,
+        cpus=[cpu.key for cpu in _selected_cpus(args)],
+        wall_time_s=round(time.perf_counter() - started, 3),
+        sim_cycles=tracer.total_cycles(),
+    )
+    obs.write_chrome_trace(trace_path, tracer, provenance=manifest)
+    return output + (f"[trace] {len(tracer.spans)} spans, "
+                     f"{100.0 * tracer.coverage():.1f}% cycle coverage -> "
+                     f"{trace_path}\n")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command.  Bad input (a library error or an unreadable
+    file) exits 2 with a one-line message; regressions and violations
+    raise ``SystemExit(1)`` from their command."""
     args = build_parser().parse_args(argv)
     blockengine.set_default_engine(args.engine)
-    trace_path = getattr(args, "trace", None)
-    if trace_path and args.command != "profile":
-        tracer = obs.SpanTracer()
-        started = time.perf_counter()
-        with obs.use_tracer(tracer):
-            output = _COMMANDS[args.command](args)
-        manifest = obs.build_manifest(
-            command=args.command,
-            settings=_settings(args)
-            if hasattr(args, "fast") else None,
-            cpus=[cpu.key for cpu in _selected_cpus(args)],
-            wall_time_s=round(time.perf_counter() - started, 3),
-            sim_cycles=tracer.total_cycles(),
-        )
-        obs.write_chrome_trace(trace_path, tracer, provenance=manifest)
-        output += (f"[trace] {len(tracer.spans)} spans, "
-                   f"{100.0 * tracer.coverage():.1f}% cycle coverage -> "
-                   f"{trace_path}\n")
-    else:
-        output = _COMMANDS[args.command](args)
+    try:
+        output = _run(args)
+    except (SpectreSimError, OSError) as exc:
+        # A KeyError subclass (UnknownCPUError) would quote its message.
+        message = exc.args[0] if isinstance(exc, KeyError) else exc
+        sys.stderr.write(f"spectresim: error: {message}\n")
+        return 2
     sys.stdout.write(output)
     return 0
 

@@ -38,7 +38,7 @@ from .probe import (
 )
 from .stats import (
     Measurement,
-    NoisySampler,
+    ReplicaSampler,
     adaptive_measure,
     confidence_interval,
     derive_seed,
@@ -78,8 +78,8 @@ __all__ = [
     "FIGURE3_KNOBS",
     "KERNEL_TO_USER",
     "Measurement",
-    "NoisySampler",
     "PairedOverhead",
+    "ReplicaSampler",
     "ResultCache",
     "RunStats",
     "SCENARIOS",

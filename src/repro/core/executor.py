@@ -339,8 +339,6 @@ class RunStats:
     jobs: int = 1
     wall_s: float = 0.0
     replicas: int = 0
-    replicas_batched: int = 0
-    replicas_scalar: int = 0
 
     def summary(self) -> str:
         return (f"{self.total} cells: {self.cache_hits} cache hits, "
@@ -368,8 +366,6 @@ class RunStats:
         self.jobs = max(self.jobs, other.jobs)
         self.wall_s += other.wall_s
         self.replicas += other.replicas
-        self.replicas_batched += other.replicas_batched
-        self.replicas_scalar += other.replicas_scalar
 
     def cache_hit_rate(self) -> float:
         """Fraction of cache lookups that hit (resumed cells excluded)."""
@@ -379,13 +375,6 @@ class RunStats:
     def replicas_per_s(self) -> float:
         """Replica throughput of the run (the grid's wall-clock floor)."""
         return self.replicas / self.wall_s if self.wall_s > 0 else 0.0
-
-    def batch_hit_rate(self) -> float:
-        """Fraction of non-probe replicas served by the SoA broadcast
-        (1.0 when no batch had more than one replica — vacuously, none
-        needed a scalar fallback)."""
-        eligible = self.replicas_batched + self.replicas_scalar
-        return self.replicas_batched / eligible if eligible else 1.0
 
 
 def _worker_run_cell(spec_dict: Dict[str, Any], collect_obs: bool,
@@ -514,7 +503,7 @@ class StudyExecutor:
         """
         from . import study
         started = time.perf_counter()
-        replicas_before = replicabatch.STATS.as_dict()
+        replicas_before = replicabatch.STATS.replicas
         self.stats = RunStats(total=len(specs), jobs=self.jobs)
         self._count("scheduled", len(specs))
 
@@ -582,14 +571,7 @@ class StudyExecutor:
         # Replica-tier delta for this run: inline cells accumulate into
         # the process counters directly; pool workers ship their per-cell
         # counters home (merged in _run_pool), so both paths land here.
-        replicas_after = replicabatch.STATS.as_dict()
-        self.stats.replicas = (replicas_after["replicas"]
-                               - replicas_before["replicas"])
-        self.stats.replicas_batched = (replicas_after["batched"]
-                                       - replicas_before["batched"])
-        self.stats.replicas_scalar = (
-            replicas_after["scalar_fallbacks"]
-            - replicas_before["scalar_fallbacks"])
+        self.stats.replicas = replicabatch.STATS.replicas - replicas_before
         return [results[index] for index in range(len(specs))]
 
     def telemetry(self) -> Dict[str, Any]:
@@ -597,7 +579,6 @@ class StudyExecutor:
         out = self.stats.as_dict()
         out["cache_hit_rate"] = self.stats.cache_hit_rate()
         out["replicas_per_s"] = self.stats.replicas_per_s()
-        out["batch_hit_rate"] = self.stats.batch_hit_rate()
         return out
 
     def _run_inline(self, spec: CellSpec) -> Any:

@@ -907,8 +907,12 @@ class BlockEngine:
             elif op is Op.MOV_CR3:
                 pcid_changed = True
                 # From here on the live PCID is fixed by the instruction,
-                # so later TLB keys are static.
+                # so later TLB keys are static.  The pre-switch touches
+                # replay here, ahead of any later flush point's touches.
                 pcid_is_ambient = False
+                if tlb_touches:
+                    ops.append((_touch_tlb_pages, (tlb, tuple(tlb_touches))))
+                    tlb_touches.clear()
             elif op is Op.VERW:
                 if self._verw_clearing:
                     ops.append((machine.mds_buffers.clear, ()))
@@ -1013,9 +1017,8 @@ class BlockEngine:
                     unique_pages.append(pair)
             memo.tlb_checks = tuple(unique_pages)
         memo.value_checks = tuple(value_checks)
-        # Pre-switch (ambient-PCID) TLB touches replay before any static
-        # post-switch touches of the same structure, preserving last-touch
-        # order even when the switch lands on the same PCID.
+        # Ambient-PCID TLB touches of a segment without a CR3 switch (a
+        # switch already emitted them at its own position).
         if tlb_touches:
             ops.append((_touch_tlb_pages, (tlb, tuple(tlb_touches))))
         # Emit the per-structure batches (one replay call each), then the

@@ -176,10 +176,10 @@ class Machine:
         self._rng = np.random.default_rng(seed)
         self._scrub_countdown = self._next_scrub_interval()
 
-        # Replica-batch scrub probe (see repro.cpu.replicas): the only
+        # Replica scrub probe (see repro.cpu.replicas): the only
         # seed-dependent behavior in the machine is the scrub interval
         # above, so counting scrub-eligible kernel entries is enough for
-        # the batch tier to decide which replica seeds share this run's
+        # the replica tier to decide which replica seeds share this run's
         # execution bit-for-bit.
         self._scrub_probe = _SCRUB_PROBE
         self._scrub_probe_slot = (

@@ -1,50 +1,31 @@
-"""Batched structure-of-arrays (SoA) replica execution.
+"""Seeded machine replicas of one study cell, run once per scrub schedule.
 
-The section-4.1 methodology repeats every (cpu, policy, workload) cell
-until the 95% confidence interval is tight, so *replica* throughput —
-not single-run latency — is the wall-clock floor of the full study grid.
-This module executes N seeded replicas of one cell in lockstep instead
-of one machine at a time:
+The section-4.1 methodology repeats every cell until the 95% confidence
+interval is tight.  With ``Settings.replicas = N`` the repeats cycle over
+N seeded machine replicas:
 
-* Replica ``i`` is *defined* as a full simulator run whose machines are
-  seeded with :func:`replica_seed` ``(seed, i)``.  Replica 0 keeps the
-  cell's own seed, so a one-replica batch is bit-identical to the
-  pre-batch code path.
-* The machine is deterministic except for a single RNG consumer: the
-  eIBRS periodic BTB-scrub interval (paper section 6.2.2), redrawn once
-  at construction and once per scrub firing.  Two replicas whose scrub
-  *firing schedules* coincide therefore execute bit-identically, and a
-  whole batch collapses onto one representative execution.
-* :func:`run_replicas` runs one **probe** replica under a
-  :class:`ScrubProbe` (machines register themselves and report every
-  scrub-eligible kernel entry — a count, never a behavior change),
-  derives every other replica's firing schedule straight from its seed
-  via :func:`firing_schedule` *without running it*, and broadcasts the
-  probe's metric / cycle / counter deltas into the per-replica
-  structure-of-arrays accumulators of a :class:`ReplicaBatch` in one
-  vector op per array.
-* Replicas whose schedule diverges from the probe's fall back to scalar
-  execution — the existing interpreter / block-engine path, which is
-  exact by construction — and the batch re-converges afterward: their
-  rows are filled individually and subsequent consumers (noise
-  sampling, telemetry) see one dense SoA again.
+* Replica ``i`` is a full run of the cell with its machines seeded from
+  :func:`replica_seed` ``(seed, i)``.  Replica 0 keeps the cell's own
+  seed, so one replica is exactly the classic single run.
+* The machine is deterministic except for one RNG consumer: the eIBRS
+  periodic BTB-scrub interval (paper section 6.2.2), drawn once at
+  construction and once per scrub firing.  Two replicas whose *firing
+  schedules* coincide therefore execute bit-identically.
+* :func:`run_replicas` runs replica 0 under a :class:`ScrubProbe`,
+  derives every other replica's schedules from its seed with
+  :func:`firing_schedule`, and runs the cell once per distinct tuple of
+  schedules.  On parts without the periodic scrub (or with eIBRS off)
+  every tuple is empty, so N replicas cost one run.
 
-On the five CPU models without the periodic scrub — and on scrub-capable
-parts whenever the policy leaves eIBRS disabled — no machine consults
-its RNG at a kernel entry, every schedule is trivially equal, and a
-batch of N replicas costs one simulation instead of N.  That is the
-steady state :mod:`benchmarks.bench_replicas` gates at >= 5x.
-
-Why the schedule comparison is sound: the committed instruction stream
-is program-defined, never timing-defined, so the number and order of
-scrub-eligible kernel entries is identical across seeds.  Given equal
+Why equal schedules mean equal runs: the committed instruction stream is
+program-defined, never timing-defined, so the number and order of
+scrub-eligible kernel entries are the same for every seed.  Given equal
 firing positions, every ``btb.flush()``, extra-cycle charge and ledger
-posting lands at the same point of the same stream — the runs are the
-same run.  Machines a cell creates at a fixed internal offset from the
-replica seed (e.g. :class:`~repro.cpu.smt.SMTCore`'s second thread at
-``seed + 1``) are compared at the same offset; a machine whose seed the
-runner pins outright compares equal under any offset shift or falls
-back to scalar, which is always correct, merely slower.
+posting lands at the same point of the same stream.  Machines a cell
+builds at a fixed offset from the replica seed (e.g.
+:class:`~repro.cpu.smt.SMTCore`'s second thread at ``seed + 1``) are
+keyed at that offset; a machine whose seed the runner pins outright
+keys equal or gets a run of its own, which is always correct.
 """
 
 from __future__ import annotations
@@ -58,11 +39,8 @@ from .machine import use_scrub_probe
 
 
 def replica_seed(seed: int, index: int) -> int:
-    """Machine seed of replica ``index`` of a cell seeded ``seed``.
-
-    Replica 0 *is* the cell's own seed: a batch of one executes exactly
-    the run the scalar code path always executed.
-    """
+    """Machine seed of replica ``index`` of a cell seeded ``seed``
+    (replica 0 *is* the cell's own seed)."""
     if index < 0:
         raise ValueError("replica index must be >= 0")
     if index == 0:
@@ -93,81 +71,56 @@ def firing_schedule(seed: int, low: int, high: int,
 
 
 class ScrubProbe:
-    """Per-run registry of machines and their scrub-eligible entries.
+    """Per-run record of every machine's seed offset, scrub period and
+    count of scrub-eligible kernel entries.
 
-    Installed ambiently via
-    :func:`~repro.cpu.machine.use_scrub_probe`; every machine built
-    inside the block registers itself (keeping its construction seed)
-    and bumps its slot once per scrub-eligible kernel entry.  Purely
-    observational — a probed run is bit-identical to an unprobed one.
+    Installed ambiently via :func:`~repro.cpu.machine.use_scrub_probe`;
+    every machine built inside the block registers itself and bumps its
+    slot once per scrub-eligible kernel entry.  Counting only — a probed
+    run is bit-identical to an unprobed one.
     """
 
-    def __init__(self) -> None:
-        self.machines: List[object] = []
-        self.seeds: List[int] = []
+    def __init__(self, base_seed: int = 0) -> None:
+        self.base_seed = base_seed
+        self.offsets: List[int] = []
+        self.periods: List[Tuple[int, int]] = []
         self.entries: List[int] = []
 
     def register(self, machine, seed: int) -> int:
-        self.machines.append(machine)
-        self.seeds.append(seed)
+        self.offsets.append(seed - self.base_seed)
+        self.periods.append(machine.cpu.predictor.eibrs_scrub_period)
         self.entries.append(0)
         return len(self.entries) - 1
 
     def count(self, slot: int) -> None:
         self.entries[slot] += 1
 
-    def total_tsc(self) -> int:
-        return sum(m.counters.tsc for m in self.machines)
-
-    def total_counters(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for machine in self.machines:
-            for name, value in machine.counters.snapshot().items():
-                out[name] = out.get(name, 0) + value
-        return out
-
-    def diverges(self, probe_seed: int, candidate_seed: int) -> bool:
-        """Would a replica seeded ``candidate_seed`` execute differently
-        from the probed run seeded ``probe_seed``?
-
-        Each registered machine is compared at its seed offset from the
-        probe seed, so sibling machines constructed at ``seed + k``
-        (SMT pairs) are checked against ``candidate_seed + k``.
-        """
-        for machine, seed, entries in zip(self.machines, self.seeds,
-                                          self.entries):
-            if entries <= 0:
-                continue
-            offset = seed - probe_seed
-            low, high = machine.cpu.predictor.eibrs_scrub_period
-            if (firing_schedule(candidate_seed + offset, low, high, entries)
-                    != firing_schedule(seed, low, high, entries)):
-                return True
-        return False
+    def key(self, seed: int) -> Tuple[Tuple[int, ...], ...]:
+        """The firing schedules of a run whose machines are seeded from
+        ``seed``, one per machine that saw a scrub-eligible entry."""
+        return tuple(
+            firing_schedule(seed + offset, low, high, entries)
+            for offset, (low, high), entries
+            in zip(self.offsets, self.periods, self.entries)
+            if entries > 0)
 
 
 class ReplicaStats:
-    """Module-wide replica-batch counters (`engine.EngineStats` idiom).
+    """Process-wide replica counters (the ``engine.EngineStats`` idiom).
 
-    ``batched`` counts replicas served by the vectorized broadcast,
-    ``scalar_fallbacks`` those that re-ran scalar after a schedule
-    divergence; the probe run itself is counted separately.  Workers
-    ship :meth:`as_dict` home and the parent :meth:`merge`\\ s, exactly
-    like the block-engine counters.
+    ``replicas`` counts every replica asked for; of those beyond replica
+    0, ``batched`` were served by an earlier run with the same schedules
+    and ``scalar_fallbacks`` needed a run of their own.  Workers ship
+    :meth:`as_dict` home and the parent :meth:`merge`\\ s.
     """
 
-    __slots__ = ("batches", "replicas", "batched", "scalar_fallbacks",
-                 "probe_runs")
-
-    FIELDS = ("batches", "replicas", "batched", "scalar_fallbacks",
-              "probe_runs")
+    FIELDS = ("replicas", "batched", "scalar_fallbacks")
 
     def __init__(self) -> None:
         self.reset()
 
     def reset(self) -> None:
-        for name in self.FIELDS:
-            setattr(self, name, 0)
+        self.replicas = self.batched = self.scalar_fallbacks = 0
 
     def as_dict(self) -> Dict[str, int]:
         return {name: getattr(self, name) for name in self.FIELDS}
@@ -177,18 +130,14 @@ class ReplicaStats:
             setattr(self, name, getattr(self, name) + int(state.get(name, 0)))
 
     def hit_rate(self) -> float:
-        """Fraction of non-probe replicas served by the broadcast.
-
-        1.0 when nothing was eligible (every batch had a single replica):
-        vacuously, no replica needed a scalar fallback.
-        """
+        """Share of replicas beyond replica 0 served without a run (1.0
+        when there were none)."""
         eligible = self.batched + self.scalar_fallbacks
         return self.batched / eligible if eligible else 1.0
 
     def summary(self) -> str:
-        return (f"{self.replicas} replicas in {self.batches} batches: "
-                f"{self.batched} batched, {self.scalar_fallbacks} scalar "
-                f"fallbacks, {self.probe_runs} probe runs "
+        return (f"{self.replicas} replicas: {self.batched} batched, "
+                f"{self.scalar_fallbacks} scalar fallbacks "
                 f"({100.0 * self.hit_rate():.1f}% batch hit rate)")
 
 
@@ -204,93 +153,32 @@ def publish_metrics(registry) -> None:
             registry.counter(f"replicas.{name}").inc(value)
 
 
-class ReplicaBatch:
-    """Structure-of-arrays accumulators for one cell's replica batch.
-
-    One row per replica; columns are NumPy arrays, so applying the
-    probe's memoized run delta to every converged replica is one vector
-    op per column rather than a Python loop over machines.
-    """
-
-    def __init__(self, n: int) -> None:
-        if n < 1:
-            raise ValueError("need at least one replica")
-        self.n = n
-        #: Deterministic metric per replica (the cell runner's value).
-        self.values = np.zeros(n, dtype=float)
-        #: Simulated cycles per replica, summed over the run's machines.
-        self.tsc = np.zeros(n, dtype=np.int64)
-        #: Event-counter totals per replica: name -> int64 column.
-        self.counters: Dict[str, np.ndarray] = {}
-        #: True where the probe's execution was broadcast (replica 0 is
-        #: the probe itself); False rows re-ran scalar.
-        self.converged = np.zeros(n, dtype=bool)
-
-    def _counter_column(self, name: str) -> np.ndarray:
-        column = self.counters.get(name)
-        if column is None:
-            column = np.zeros(self.n, dtype=np.int64)
-            self.counters[name] = column
-        return column
-
-    def broadcast(self, mask: np.ndarray, value: float, tsc: int,
-                  counters: Dict[str, int]) -> None:
-        """Apply one run's delta to every replica in ``mask`` at once."""
-        self.values[mask] = value
-        self.tsc[mask] += tsc
-        for name, amount in counters.items():
-            self._counter_column(name)[mask] += amount
-
-    def fill_scalar(self, index: int, value: float, tsc: int,
-                    counters: Dict[str, int]) -> None:
-        """Re-converge one divergent replica from its scalar run."""
-        self.values[index] = value
-        self.tsc[index] += tsc
-        for name, amount in counters.items():
-            self._counter_column(name)[index] += amount
-
-
 def run_replicas(run_fn: Callable[[int], float], seed: int,
-                 n: int = 1) -> ReplicaBatch:
-    """Execute ``n`` seeded replicas of one cell, batched.
+                 n: int = 1) -> List[float]:
+    """The metric of each of ``n`` seeded replicas of one cell.
 
-    ``run_fn(machine_seed)`` must run the cell's full simulation with
-    its machines seeded from ``machine_seed`` and return the
-    deterministic metric.  The first replica runs for real (the probe);
-    every replica whose scrub firing schedule provably matches is filled
-    by SoA broadcast, the rest re-run scalar and the batch re-converges.
-    The returned values are bit-identical to ``n`` independent scalar
-    runs — the differential suite in ``tests/core/test_replicas.py``
-    enforces this across the 8-CPU x policy grid.
+    ``run_fn(machine_seed)`` must run the cell with its machines seeded
+    from ``machine_seed`` and return the deterministic metric.  Entry
+    ``i`` equals ``float(run_fn(replica_seed(seed, i)))`` bit for bit,
+    but ``run_fn`` runs only once per distinct firing-schedule key.
     """
-    batch = ReplicaBatch(n)
-    STATS.batches += 1
+    if n < 1:
+        raise ValueError("need at least one replica")
     STATS.replicas += n
-
-    probe_seed = replica_seed(seed, 0)
-    probe = ScrubProbe()
+    if n == 1:
+        return [float(run_fn(seed))]
+    probe = ScrubProbe(seed)
     with use_scrub_probe(probe):
-        probe_value = float(run_fn(probe_seed))
-    STATS.probe_runs += 1
-
-    mask = np.zeros(n, dtype=bool)
-    mask[0] = True
-    divergent: List[int] = []
+        first = float(run_fn(seed))
+    runs = {probe.key(seed): first}
+    values = [first]
     for index in range(1, n):
-        if probe.diverges(probe_seed, replica_seed(seed, index)):
-            divergent.append(index)
+        replica = replica_seed(seed, index)
+        key = probe.key(replica)
+        if key in runs:
+            STATS.batched += 1
         else:
-            mask[index] = True
-    batch.converged = mask
-    batch.broadcast(mask, probe_value, probe.total_tsc(),
-                    probe.total_counters())
-    STATS.batched += int(mask.sum()) - 1
-
-    for index in divergent:
-        scalar = ScrubProbe()
-        with use_scrub_probe(scalar):
-            value = float(run_fn(replica_seed(seed, index)))
-        batch.fill_scalar(index, value, scalar.total_tsc(),
-                          scalar.total_counters())
-        STATS.scalar_fallbacks += 1
-    return batch
+            runs[key] = float(run_fn(replica))
+            STATS.scalar_fallbacks += 1
+        values.append(runs[key])
+    return values

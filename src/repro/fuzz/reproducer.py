@@ -14,6 +14,7 @@ import os
 from typing import Dict, List, Tuple
 
 from ..cpu import get_cpu
+from ..errors import SpectreSimError
 from .generator import Program, parse_program
 from .harness import ExplainReport, Violation, check_cell, explain_cell
 from .minimize import minimize_program
@@ -93,7 +94,12 @@ def minimize_violation(program: Program, violation: Violation,
     cpu = get_cpu(violation.cpu)
 
     def still_fails(candidate: Program) -> bool:
-        found = check_cell(candidate, cpu, violation.policy, base_seed)
+        # A shrink can break the program itself (e.g. drop the mapping a
+        # load needs); such a candidate does not reproduce the violation.
+        try:
+            found = check_cell(candidate, cpu, violation.policy, base_seed)
+        except SpectreSimError:
+            return False
         return any(v.oracle == violation.oracle for v in found)
 
     return minimize_program(program, still_fails)

@@ -293,21 +293,14 @@ def collect(
     eligible = engine_delta["block_hits"] + engine_delta["interp_fallbacks"]
     engine_delta["hit_rate"] = (engine_delta["block_hits"] / eligible
                                 if eligible else 0.0)
-    replicas_after = replicabatch.STATS.as_dict()
-    replicas_delta: Dict[str, float] = {
-        name: replicas_after[name] - replicas_before.get(name, 0)
-        for name in replicas_after
-    }
-    batch_eligible = (replicas_delta["batched"]
-                      + replicas_delta["scalar_fallbacks"])
-    replicas_delta["hit_rate"] = (replicas_delta["batched"] / batch_eligible
-                                  if batch_eligible else 1.0)
+    replicas = replicabatch.ReplicaStats()
+    replicas.merge({name: value - replicas_before[name] for name, value
+                    in replicabatch.STATS.as_dict().items()})
     telemetry: Dict[str, Any] = {
         "phases": phases,
         "engine": engine_delta,
-        "replicas": replicas_delta,
-        "replicas_per_s": (replicas_delta["replicas"] / wall
-                           if wall > 0 else 0.0),
+        "replicas": {**replicas.as_dict(), "hit_rate": replicas.hit_rate()},
+        "replicas_per_s": replicas.replicas / wall if wall > 0 else 0.0,
         "wall_s": wall,
     }
     if executor_totals is not None:

@@ -15,9 +15,9 @@ MDS = KNOBS_BY_NAME["mds"]
 V2 = KNOBS_BY_NAME["spectre_v2"]
 
 
-def synthetic_run_fn(config):
+def synthetic_run_fn(config, machine_seed):
     """A workload with known per-mitigation costs: baseline 1000 cycles,
-    PTI +400, MDS +500."""
+    PTI +400, MDS +500 (deterministic: the machine seed is unused)."""
     cycles = 1000.0
     if config.pti:
         cycles += 400
@@ -76,7 +76,7 @@ def test_significance_flag():
 
 
 def test_score_metric_inverts_direction():
-    def score_fn(config):
+    def score_fn(config, machine_seed):
         # Mitigations reduce the score.
         score = 1000.0
         if config.js_index_masking:

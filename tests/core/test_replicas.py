@@ -1,24 +1,24 @@
-"""Differential suite for the batched SoA replica tier.
+"""Differential suite for the schedule-keyed replica tier.
 
-The non-negotiable contract (ISSUE 9): a batch of N replicas must be
-bit-identical to N independent scalar runs — across every CPU model,
-with and without the eIBRS periodic scrub in play, through the SoA
-broadcast fast path and the scalar-fallback slow path alike.
+The contract: ``run_replicas(run_fn, seed, n)[i]`` must equal
+``float(run_fn(replica_seed(seed, i)))`` bit for bit — across every CPU
+model, with and without the eIBRS periodic scrub in play, whether a
+replica shares an earlier run or gets a run of its own.
 """
 
 import dataclasses
+from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 from repro.core.stats import suite_geometric_mean
 from repro.core.study import Settings, lebench_geomean
 from repro.cpu import counters as ctr
+from repro.cpu import machine as machine_mod
 from repro.cpu.machine import Machine, use_scrub_probe
 from repro.cpu.model import all_cpus, get_cpu
 from repro.cpu.replicas import (
     STATS,
-    ReplicaBatch,
     ReplicaStats,
     ScrubProbe,
     firing_schedule,
@@ -44,6 +44,20 @@ def _cell_run_fn(cpu, config):
                                                 seed=machine_seed)
 
 
+def _counted(run_fn):
+    """``run_fn`` plus the list of machine seeds it was called with."""
+    calls = []
+
+    def counted(machine_seed):
+        calls.append(machine_seed)
+        return run_fn(machine_seed)
+    return counted, calls
+
+
+def _reference(run_fn, seed, n):
+    return [float(run_fn(replica_seed(seed, i))) for i in range(n)]
+
+
 # --------------------------------------------------------------------------- #
 # The bit-identity grid: every CPU model x policy
 # --------------------------------------------------------------------------- #
@@ -56,54 +70,92 @@ def test_batched_matches_scalar_bitwise(cpu_key, policy):
               else linux_default(cpu))
     run_fn = _cell_run_fn(cpu, config)
     n, seed = 3, 7
-    reference = np.array([run_fn(replica_seed(seed, i)) for i in range(n)])
-    batch = run_replicas(run_fn, seed=seed, n=n)
-    assert np.array_equal(batch.values, reference)
-    assert batch.converged[0]  # the probe row is always authoritative
+    assert run_replicas(run_fn, seed=seed, n=n) == \
+        _reference(run_fn, seed, n)
 
 
 def test_no_scrub_part_collapses_to_one_probe_run():
-    """Broadwell has no periodic scrub: every replica's schedule is
-    trivially equal and the whole batch is served by the broadcast —
-    the steady state the >= 5x bench floor relies on."""
-    run_fn = _cell_run_fn(get_cpu("broadwell"), MitigationConfig.all_off())
+    """Broadwell has no periodic scrub: every replica's schedule key is
+    empty, so the whole batch is served by replica 0's run — the steady
+    state the >= 5x bench floor relies on."""
+    run_fn, calls = _counted(
+        _cell_run_fn(get_cpu("broadwell"), MitigationConfig.all_off()))
     STATS.reset()
-    batch = run_replicas(run_fn, seed=7, n=6)
-    assert batch.converged.all()
-    assert STATS.probe_runs == 1
+    values = run_replicas(run_fn, seed=7, n=6)
+    assert calls == [7]
     assert STATS.batched == 5
     assert STATS.scalar_fallbacks == 0
-    assert np.all(batch.values == batch.values[0])
+    assert values == [values[0]] * 6
 
 
 def test_scrub_part_with_eibrs_off_also_collapses():
     """cascade_lake draws its scrub interval at construction, but with
     mitigations off no kernel entry consults it — schedules are compared
     only over *eligible* entries, so the batch still collapses."""
-    run_fn = _cell_run_fn(get_cpu("cascade_lake"), MitigationConfig.all_off())
+    run_fn, calls = _counted(
+        _cell_run_fn(get_cpu("cascade_lake"), MitigationConfig.all_off()))
     STATS.reset()
-    batch = run_replicas(run_fn, seed=7, n=4)
-    assert batch.converged.all()
+    run_replicas(run_fn, seed=7, n=4)
+    assert len(calls) == 1
     assert STATS.scalar_fallbacks == 0
 
 
 def test_divergent_replicas_fall_back_and_reconverge():
     """cascade_lake under linux_default fires the scrub: replicas with
-    differing firing schedules re-run scalar, and the batch re-converges
-    to one dense SoA whose rows are still bit-exact."""
+    differing firing schedules get runs of their own, and every entry
+    is still bit-exact."""
     cpu = get_cpu("cascade_lake")
-    run_fn = _cell_run_fn(cpu, linux_default(cpu))
+    run_fn, calls = _counted(_cell_run_fn(cpu, linux_default(cpu)))
     n, seed = 4, 7
     STATS.reset()
-    batch = run_replicas(run_fn, seed=seed, n=n)
-    assert batch.converged[0]
-    assert not batch.converged.all()          # divergence actually occurred
-    assert STATS.scalar_fallbacks == int((~batch.converged).sum())
+    values = run_replicas(run_fn, seed=seed, n=n)
+    assert STATS.scalar_fallbacks >= 1       # divergence actually occurred
+    assert len(calls) == 1 + STATS.scalar_fallbacks
     assert STATS.batched + STATS.scalar_fallbacks == n - 1
-    reference = np.array([run_fn(replica_seed(seed, i)) for i in range(n)])
-    assert np.array_equal(batch.values, reference)
-    # SoA columns are dense: cycles accumulated for every row.
-    assert (batch.tsc > 0).all()
+    assert values == _reference(run_fn, seed, n)
+
+
+def test_single_replica_runs_once_without_a_probe():
+    """n=1 is the classic single run: one call with the cell seed and
+    no scrub probe installed around it."""
+    ambient = []
+
+    def run_fn(machine_seed):
+        ambient.append(machine_mod._SCRUB_PROBE)
+        return 3.5
+
+    assert run_replicas(run_fn, seed=42, n=1) == [3.5]
+    assert ambient == [None]
+
+
+def test_divergent_replicas_with_equal_schedules_share_one_run():
+    """Replicas are keyed by their firing schedules, not by whether they
+    match replica 0: two replicas that both diverge from replica 0 but
+    agree with each other cost one run between them."""
+    low, high, entries = 1, 2, 2   # only three possible schedules
+    scrubber = SimpleNamespace(cpu=SimpleNamespace(
+        predictor=SimpleNamespace(eibrs_scrub_period=(low, high))))
+
+    def run_fn(machine_seed):
+        probe = machine_mod._SCRUB_PROBE
+        if probe is not None:
+            slot = probe.register(scrubber, machine_seed)
+            for _ in range(entries):
+                probe.count(slot)
+        return float(sum(firing_schedule(machine_seed, low, high, entries)))
+
+    n, seed = 8, 5
+    keys = [firing_schedule(replica_seed(seed, i), low, high, entries)
+            for i in range(n)]
+    divergent = [key for key in keys[1:] if key != keys[0]]
+    assert len(divergent) > len(set(divergent))  # the case under test
+    counted, calls = _counted(run_fn)
+    STATS.reset()
+    values = run_replicas(counted, seed=seed, n=n)
+    assert len(calls) == len(set(keys))
+    assert STATS.scalar_fallbacks == len(set(keys)) - 1
+    assert STATS.batched == n - len(set(keys))
+    assert values == _reference(run_fn, seed, n)
 
 
 def test_smt_sibling_seed_offset_is_respected():
@@ -120,9 +172,8 @@ def test_smt_sibling_seed_offset_is_respected():
         return suite_geometric_mean(a) + suite_geometric_mean(b)
 
     n, seed = 3, 11
-    reference = np.array([run_fn(replica_seed(seed, i)) for i in range(n)])
-    batch = run_replicas(run_fn, seed=seed, n=n)
-    assert np.array_equal(batch.values, reference)
+    assert run_replicas(run_fn, seed=seed, n=n) == \
+        _reference(run_fn, seed, n)
 
 
 # --------------------------------------------------------------------------- #
@@ -160,8 +211,8 @@ def test_use_scrub_probe_restores_previous_probe():
     with use_scrub_probe(outer):
         with use_scrub_probe(ScrubProbe()):
             pass
-        machine = Machine(get_cpu("broadwell"), seed=1)
-    assert machine in outer.machines
+        Machine(get_cpu("broadwell"), seed=1)
+    assert outer.offsets == [1] and outer.entries == [0]
 
 
 def test_replica_seed_contract():
@@ -182,12 +233,11 @@ def test_firing_schedule_empty_without_entries():
 
 def test_stats_merge_matches_worker_protocol():
     parent, worker = ReplicaStats(), ReplicaStats()
-    worker.batches, worker.replicas, worker.batched = 2, 8, 5
-    worker.scalar_fallbacks, worker.probe_runs = 1, 2
+    worker.replicas, worker.batched, worker.scalar_fallbacks = 8, 5, 1
     parent.merge(worker.as_dict())
     parent.merge(worker.as_dict())
-    assert parent.as_dict() == {"batches": 4, "replicas": 16, "batched": 10,
-                                "scalar_fallbacks": 2, "probe_runs": 4}
+    assert parent.as_dict() == {"replicas": 16, "batched": 10,
+                                "scalar_fallbacks": 2}
     assert parent.hit_rate() == pytest.approx(10 / 12)
 
 
@@ -197,10 +247,9 @@ def test_stats_hit_rate_is_vacuously_perfect_when_idle():
 
 def test_stats_summary_mentions_the_numbers():
     stats = ReplicaStats()
-    stats.replicas, stats.batches, stats.batched = 9, 3, 4
-    stats.scalar_fallbacks, stats.probe_runs = 2, 3
+    stats.replicas, stats.batched, stats.scalar_fallbacks = 9, 4, 2
     text = stats.summary()
-    assert "9 replicas in 3 batches" in text
+    assert "9 replicas: 4 batched, 2 scalar fallbacks" in text
     assert "66.7% batch hit rate" in text
 
 
@@ -212,9 +261,8 @@ def test_publish_metrics_exports_nonzero_counters():
     publish_metrics(registry)
     assert registry.counter("replicas.replicas").value == 3
     assert registry.counter("replicas.batched").value == 2
-    assert registry.counter("replicas.probe_runs").value == 1
 
 
 def test_replica_batch_validation():
     with pytest.raises(ValueError):
-        ReplicaBatch(0)
+        run_replicas(lambda machine_seed: 1.0, seed=7, n=0)

@@ -8,7 +8,6 @@ import pytest
 
 from repro.core.stats import (
     Measurement,
-    NoisySampler,
     ReplicaSampler,
     adaptive_measure,
     confidence_interval,
@@ -100,22 +99,6 @@ def test_adaptive_measure_rejects_non_positive_rel_tol():
         adaptive_measure(lambda: 1.0, rel_tol=-0.01)
 
 
-def test_adaptive_measure_batched_matches_scalar_bitwise():
-    """The batched sampling path must reproduce the scalar loop exactly:
-    same mean, same CI, same sample count — it checks convergence at
-    every prefix length the scalar loop would."""
-    for seed, rel_tol, max_samples in [(2, 0.01, 200), (3, 0.0001, 10),
-                                       (11, 0.02, 60)]:
-        scalar = ReplicaSampler([100.0], sigma=0.015, seed=seed)
-        batched = ReplicaSampler([100.0], sigma=0.015, seed=seed)
-        m_scalar = adaptive_measure(scalar, rel_tol=rel_tol,
-                                    max_samples=max_samples)
-        m_batched = adaptive_measure(batched, rel_tol=rel_tol,
-                                     max_samples=max_samples,
-                                     sample_batch=batched.sample_batch)
-        assert m_scalar == m_batched
-
-
 def test_geometric_mean_known_value():
     assert geometric_mean([1, 100]) == pytest.approx(10.0)
     assert geometric_mean([7]) == pytest.approx(7.0)
@@ -204,64 +187,44 @@ def test_score_slowdown_percent():
 
 
 class TestNoisySampler:
+    """The one-value noise stream, ``ReplicaSampler([v])``: what every
+    ``replicas=1`` measurement samples from."""
+
     def test_zero_sigma_is_exact(self):
-        sampler = NoisySampler(lambda: 42.0, sigma=0.0)
+        sampler = ReplicaSampler([42.0], sigma=0.0)
         assert sampler() == 42.0
 
     def test_seeded_reproducibility(self):
-        a = NoisySampler(lambda: 100.0, sigma=0.05, seed=9)
-        b = NoisySampler(lambda: 100.0, sigma=0.05, seed=9)
+        a = ReplicaSampler([100.0], sigma=0.05, seed=9)
+        b = ReplicaSampler([100.0], sigma=0.05, seed=9)
         assert [a() for _ in range(5)] == [b() for _ in range(5)]
 
     def test_noise_is_a_couple_percent(self):
-        sampler = NoisySampler(lambda: 100.0, sigma=0.015, seed=0)
+        sampler = ReplicaSampler([100.0], sigma=0.015, seed=0)
         values = [sampler() for _ in range(500)]
         assert np.std(values) / np.mean(values) == pytest.approx(0.015, rel=0.3)
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
-            NoisySampler(lambda: 1.0, sigma=-0.1)
-
-    def test_sample_batch_matches_sequential_calls_bitwise(self):
-        """One sized normal draw is prefix-stable against n sequential
-        draws from the same generator — the identity the vectorized
-        adaptive loop relies on."""
-        a = NoisySampler(lambda: 100.0, sigma=0.05, seed=9)
-        b = NoisySampler(lambda: 100.0, sigma=0.05, seed=9)
-        assert a.sample_batch(7) == [b() for _ in range(7)]
-
-    def test_sample_batch_zero_sigma(self):
-        sampler = NoisySampler(lambda: 42.0, sigma=0.0)
-        assert sampler.sample_batch(3) == [42.0, 42.0, 42.0]
-
-    def test_sample_batch_rejects_empty(self):
-        with pytest.raises(ValueError):
-            NoisySampler(lambda: 1.0).sample_batch(0)
+            ReplicaSampler([1.0], sigma=-0.1)
 
 
 class TestReplicaSampler:
     def test_single_replica_matches_noisy_sampler_bitwise(self):
-        """One-replica batches must reproduce NoisySampler exactly —
-        the bit-identity contract for replicas=1 studies."""
-        noisy = NoisySampler(lambda: 100.0, sigma=0.015, seed=4)
+        """A one-value sampler is pinned to the hand-written log-normal
+        stream — the bit-identity contract for replicas=1 studies."""
+        rng = np.random.default_rng(4)
+        expected = [100.0 * float(np.exp(rng.normal(0.0, 0.015)))
+                    for _ in range(6)]
         replica = ReplicaSampler([100.0], sigma=0.015, seed=4)
-        assert [replica() for _ in range(6)] == [noisy() for _ in range(6)]
+        assert [replica() for _ in range(6)] == expected
 
     def test_cycles_through_replica_values(self):
         sampler = ReplicaSampler([1.0, 2.0, 3.0], sigma=0.0)
         assert [sampler() for _ in range(5)] == [1.0, 2.0, 3.0, 1.0, 2.0]
-
-    def test_batch_and_scalar_walk_the_same_stream(self):
-        a = ReplicaSampler([10.0, 20.0], sigma=0.02, seed=5)
-        b = ReplicaSampler([10.0, 20.0], sigma=0.02, seed=5)
-        assert a.sample_batch(5) == [b() for _ in range(5)]
-        # ... and they stay in lockstep after mixing the two entry points.
-        assert a() == b.sample_batch(1)[0]
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             ReplicaSampler([])
         with pytest.raises(ValueError):
             ReplicaSampler([1.0], sigma=-0.1)
-        with pytest.raises(ValueError):
-            ReplicaSampler([1.0]).sample_batch(0)

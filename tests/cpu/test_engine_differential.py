@@ -190,3 +190,23 @@ def test_random_sequences_bit_identical(key, makers, repeats):
     assert list(fast.store_buffer._pending.items()) == \
         list(slow.store_buffer._pending.items())
     assert list(fast.tlb._entries.items()) == list(slow.tlb._entries.items())
+
+
+@pytest.mark.parametrize("key", [k for k in CPU_KEYS
+                                 if get_cpu(k).supports_pcid])
+def test_pre_switch_tlb_touches_replay_before_later_flush_points(key):
+    """Ambient-PCID TLB touches made before a PCID-preserving MOV_CR3
+    must replay at the switch, not after a later CLFLUSH emits the
+    post-switch touches: the TLB's LRU order has to match the
+    interpreter's after every repeat."""
+    cpu = get_cpu(key)
+    seq = [isa.load(0x1000), isa.load(0x2000), isa.load(0x3000),
+           isa.mov_cr3(pcid=0), isa.load(0x1000), isa.clflush(0x9000)]
+    machines = {mode: Machine(cpu, seed=3, engine=mode)
+                for mode in (engine.ENGINE_BLOCK, engine.ENGINE_INTERP)}
+    for _ in range(3):
+        for machine in machines.values():
+            machine.run(seq)
+        block, interp = machines.values()
+        assert list(block.tlb._entries) == list(interp.tlb._entries)
+        assert block.read_tsc() == interp.read_tsc()

@@ -78,3 +78,17 @@ def test_reproducer_round_trip(tmp_path):
         assert replay_reproducer(path)
     # Replay with the engine fixed (fault scope exited): clean.
     assert replay_reproducer(path) == []
+
+
+def test_candidates_that_raise_count_as_not_reproducing():
+    """Some shrinks of fz18dd4876 fault (a load loses its mapping); the
+    minimizer must treat them as non-reproducing instead of crashing."""
+    program = generate_program(0x18dd4876)
+    cpu = get_cpu("broadwell")
+    with parity_fault("verw"):
+        found = check_cell(program, cpu, POLICY_OFF, base_seed=7)
+        violation = next(v for v in found if v.oracle == "engine_parity")
+        minimized = minimize_violation(program, violation, base_seed=7)
+        assert minimized.instruction_count() < program.instruction_count()
+        assert any(v.oracle == "engine_parity" for v in
+                   check_cell(minimized, cpu, POLICY_OFF, base_seed=7))

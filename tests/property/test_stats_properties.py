@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.stats import (
-    NoisySampler,
+    ReplicaSampler,
     confidence_interval,
     geometric_mean,
     overhead_percent,
@@ -67,8 +67,8 @@ def test_overhead_percent_sign_matches_direction(mitigated, baseline):
 @given(st.integers(min_value=0, max_value=2**31), finite_positive)
 @settings(max_examples=50)
 def test_noisy_sampler_stays_positive_and_seeded(seed, value):
-    a = NoisySampler(lambda: value, sigma=0.05, seed=seed)
-    b = NoisySampler(lambda: value, sigma=0.05, seed=seed)
+    a = ReplicaSampler([value], sigma=0.05, seed=seed)
+    b = ReplicaSampler([value], sigma=0.05, seed=seed)
     samples_a = [a() for _ in range(10)]
     samples_b = [b() for _ in range(10)]
     assert samples_a == samples_b

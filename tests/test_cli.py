@@ -256,6 +256,25 @@ def test_check_fails_on_a_doctored_baseline(capsys, tmp_path):
     assert "REGRESSION" in out and key in out and "FAIL" in out
 
 
+
+def test_bad_input_is_a_one_line_error_with_exit_code_2(capsys, tmp_path):
+    missing = str(tmp_path / "no-such-bench.json")
+    assert main(["--no-history", "check", "--against", missing]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err + captured.out
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("spectresim: error: ")
+    assert missing in lines[0]
+
+
+def test_unknown_cpu_is_a_one_line_error_with_exit_code_2(capsys):
+    assert main(["--no-history", "figure", "5", "--fast",
+                 "--cpus", "nosuchcpu"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("spectresim: error: unknown CPU 'nosuchcpu'")
+    assert len(err.strip().splitlines()) == 1
+
 def test_profile_ledger_out(capsys, tmp_path):
     ledger_path = str(tmp_path / "run.ledger")
     out = run_cli(capsys, "profile", "figure", "2", "--fast",
